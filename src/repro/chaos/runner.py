@@ -13,9 +13,10 @@ A :class:`ChaosTrialSpec` names a workload shape and a seed; the runner
 4. drains each machine to quiescence, audits the conservation / coherence
    invariants, and
 5. asserts the two planes agree on *every* simulated quantity (only the
-   diagnostic event counts may differ) and that the persisted files are
-   byte-identical to the reference (unless the schedule legitimately forced
-   data loss, which the ledger still has to account for).
+   diagnostic event counts may differ) and that the persisted files
+   match the reference in checksum, size and persisted coverage (unless the
+   schedule legitimately forced data loss, which the ledger still has to
+   account for).
 
 Results are plain dataclasses with ``to_dict``/``from_dict`` so they flow
 through the same :class:`~repro.experiments.parallel.SweepRunner` /
@@ -37,6 +38,7 @@ from repro.experiments.faultsweep import (
     FAULT_CACHE_MODES,
     FaultExperimentSpec,
     _checksums,
+    _persisted,
     build_fault_workload,
     fault_hints_for,
 )
@@ -123,7 +125,7 @@ class ChaosTrialResult:
     spec: ChaosTrialSpec
     schedule: dict  # the schedule actually run, serialized
     outcome: str  # survived | crash_recovered | data_loss | unrecovered | deadlock
-    integrity_ok: bool  # persisted bytes match the fault-free reference
+    integrity_ok: bool  # files match the fault-free reference (checksum, coverage)
     planes_match: bool  # bulk and chunked agree on every simulated quantity
     mismatched: list  # snapshot keys where the planes disagreed
     violations: list  # invariant violations, tagged ref:/bulk:/chunked:
@@ -334,6 +336,7 @@ def _run_plane(
     monitor.check_quiescent()
     snapshot = {
         "checksums": _checksums(machine, paths),
+        "persisted": _persisted(machine, paths),
         "io_stats": dict(machine.io_stats),
         "cache_stats": dict(machine.cache_stats),
         "recovery": machine.recovery.stats(),
@@ -385,6 +388,7 @@ def run_chaos_trial(
     ref_monitor.drain()
     ref_monitor.check_quiescent()
     ref_checks = _checksums(ref_machine, paths)
+    ref_persisted = _persisted(ref_machine, paths)
 
     snaps: dict[str, dict] = {}
     events: dict[str, int] = {}
@@ -425,7 +429,9 @@ def run_chaos_trial(
 
     if outcome in ("survived", "crash_recovered"):
         integrity_ok = bool(ref_checks) and all(
-            snaps[k]["checksums"] == ref_checks for k in snaps
+            snaps[k]["checksums"] == ref_checks
+            and snaps[k]["persisted"] == ref_persisted
+            for k in snaps
         )
     else:
         # Lost or never-converged data cannot match the reference; the

@@ -5,14 +5,19 @@ cluster configs: once fault-free (the *reference*) and once under a
 :class:`~repro.faults.FaultSchedule`.  If the faulted job is killed by an
 injected aggregator crash, a follow-up *recovery job* re-opens every file on
 the same machine — the collective open replays orphaned cache extents — and
-the point reports recovery time and bytes replayed.  End-to-end integrity is
-asserted by comparing per-file SHA-256 checksums of the persisted global
-files against the reference run: the recovered (or degraded) job must be
-byte-identical to the fault-free one.
+the point reports recovery time and bytes replayed.  Integrity is checked
+against the reference run: every global file must end with the same size,
+the same per-file SHA-256 checksum and the same persisted coverage (the
+byte ranges that reached the PFS) as in the fault-free run.  The runs use
+the model-fidelity exchange, which carries no payload bytes, so this
+verifies that every byte range was persisted, not its content;
+byte-for-byte recovery is asserted by the flow-fidelity tests
+(``tests/faults/test_recovery.py``, ``test_nvmm_recovery.py``,
+``test_injector.py``).
 
-Workloads here are deliberately tiny (tens of KiB per rank, payload-carrying
-so checksums are meaningful); the point is correctness under faults, not the
-paper's bandwidth figures.  Results flow through the same
+Workloads here are deliberately tiny (tens of KiB per rank, dataless); the
+point is correctness under faults, not the paper's bandwidth figures.
+Results flow through the same
 :class:`~repro.experiments.parallel.SweepRunner` / result-cache machinery as
 the Table-II sweeps, so fault matrices are cached, deduplicated, and
 byte-identical between serial and ``--jobs N`` execution.
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 from typing import Optional
 
 from repro.analysis.bandwidth import perceived_bandwidth
@@ -99,7 +105,7 @@ class FaultExperimentResult:
     """Outcome of one fault-matrix point."""
 
     spec: FaultExperimentSpec
-    integrity_ok: bool  # faulted/recovered files byte-identical to reference
+    integrity_ok: bool  # files match the reference: checksum, size, coverage
     crashed: bool  # the faulted job was killed by an injected crash
     recovered: bool  # a recovery job ran (implies crashed)
     bw_ref: float  # fault-free perceived bandwidth [B/s]
@@ -137,24 +143,22 @@ class FaultExperimentResult:
 
 # -- workload / config -------------------------------------------------------
 def build_fault_workload(spec: FaultExperimentSpec, nprocs: int):
-    """A tiny payload-carrying workload so checksums verify real bytes."""
+    """A tiny dataless workload for the model-fidelity fault runs.
+
+    The model exchange never carries payload bytes (aggregators write
+    ``None``), so the persisted files hold no data extents and a payload
+    would only be generated to be dropped.  What the fault sweep compares
+    against the reference is each file's size and persisted coverage;
+    byte-for-byte recovery is asserted by the flow-fidelity fault tests.
+    """
     s = max(spec.scale, 0.0)
     if spec.benchmark == "coll_perf":
         block = max(8 * KiB, (int(128 * KiB * s) // (2 * KiB)) * 2 * KiB)
-        return collperf_workload(
-            nprocs, block_bytes=block, with_data=True, seed=spec.seed
-        )
+        return collperf_workload(nprocs, block_bytes=block)
     if spec.benchmark == "flash_io":
-        blocks = max(1, int(round(2 * s)))
-        return flashio_workload(
-            nprocs, blocks_per_proc=blocks, with_data=True, seed=spec.seed
-        )
+        return flashio_workload(nprocs, blocks_per_proc=max(1, int(round(2 * s))))
     return ior_workload(
-        nprocs,
-        block_bytes=64 * KiB,
-        segments=max(1, int(round(2 * s))),
-        with_data=True,
-        seed=spec.seed,
+        nprocs, block_bytes=64 * KiB, segments=max(1, int(round(2 * s)))
     )
 
 
@@ -192,13 +196,39 @@ def _file_prefix(spec: FaultExperimentSpec) -> str:
     return f"/global/fault_{spec.benchmark}_{spec.scenario}_{spec.cache_mode}_"
 
 
+@lru_cache(maxsize=64)
+def _zero_digest(size: int) -> str:
+    """SHA-256 of ``size`` zero bytes, hashed in 1 MiB pieces."""
+    chunk = memoryview(bytes(1 << 20))
+    h = hashlib.sha256()
+    full, rest = divmod(size, len(chunk))
+    for _ in range(full):
+        h.update(chunk)
+    h.update(chunk[:rest])
+    return h.hexdigest()
+
+
 def _checksums(machine: Machine, paths: list[str]) -> dict[str, str]:
+    """Per-file SHA-256 of the persisted image (unwritten bytes read 0)."""
     out = {}
     for path in paths:
         if machine.pfs.exists(path):
-            img = machine.pfs.lookup(path).data_image()
-            out[path] = hashlib.sha256(img.tobytes()).hexdigest()
+            f = machine.pfs.lookup(path)
+            if f.extents:
+                out[path] = hashlib.sha256(f.data_image()).hexdigest()
+            else:
+                out[path] = _zero_digest(f.size)
     return out
+
+
+def _persisted(machine: Machine, paths: list[str]) -> dict[str, list[tuple]]:
+    """Per-file persisted coverage: the ``[start, end)`` ranges written to
+    the PFS."""
+    return {
+        path: list(machine.pfs.lookup(path).persisted)
+        for path in paths
+        if machine.pfs.exists(path)
+    }
 
 
 # -- the point runner --------------------------------------------------------
@@ -231,6 +261,7 @@ def run_fault_experiment(
     workload = build_fault_workload(spec, cfg.num_ranks)
     ref_timings = ref_world.run(_body(ref_layer, workload))
     ref_checks = _checksums(ref_machine, paths)
+    ref_persisted = _persisted(ref_machine, paths)
     bw_ref = perceived_bandwidth(
         ref_timings, workload.file_size, include_last_phase=True
     )
@@ -292,7 +323,11 @@ def run_fault_experiment(
     monitor.check_quiescent()
 
     checks = _checksums(machine, paths)
-    integrity_ok = bool(checks) and checks == ref_checks
+    integrity_ok = (
+        bool(checks)
+        and checks == ref_checks
+        and _persisted(machine, paths) == ref_persisted
+    )
     rec_stats = machine.recovery.stats()
     cache_stats = machine.cache_stats
     return FaultExperimentResult(

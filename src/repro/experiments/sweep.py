@@ -21,8 +21,8 @@ table to ``--output-dir`` as ``<name>.txt``.
 ``--faults`` switches to the fault matrix
 (:mod:`repro.experiments.faultsweep`): every Table-II hint configuration in
 the matrix runs under injected faults and the exit status is non-zero unless
-every point's recovered/degraded output is byte-identical to its fault-free
-reference — and upholds every global invariant::
+every point's recovered/degraded files match their fault-free reference in
+size and persisted coverage — and uphold every global invariant::
 
     python -m repro.experiments.sweep --faults --jobs 2 --no-cache
 

@@ -268,6 +268,11 @@ def _model_cache_key(fd: ADIOFile, call: CollectiveCallState, cb: int):
     so they are invariant under a common offset translation — patterns
     that differ only by a constant file offset (IOR segments, the per-file
     phases of a run) share one entry, bit for bit.
+
+    Empty domains enter as ``(0, 0)`` wherever the partitioner put them
+    (the stripe-aligned one uses absolute offset 0): an empty domain's
+    ``bounds`` row is constant, so its sends and pieces are zero in every
+    round whatever its offset.
     """
     comm = fd.comm
     P = comm.size
@@ -282,6 +287,9 @@ def _model_cache_key(fd: ADIOFile, call: CollectiveCallState, cb: int):
         if len(acc) > _MODEL_CACHE_EXTENT_CAP:
             return None
         sigs.append((acc.offsets - base).tobytes() + acc.lengths.tobytes())
+    spans = [
+        (d.start - base, d.end - base) if d.size > 0 else (0, 0) for d in call.domains
+    ]
     costs = comm.costs
     return (
         P,
@@ -297,7 +305,8 @@ def _model_cache_key(fd: ADIOFile, call: CollectiveCallState, cb: int):
         fd.machine.config.network.piece_overhead,
         tuple(fd.aggregators),
         tuple(comm.rank_to_node),
-        tuple((d.start - base, d.end - base, d.aggregator_rank) for d in call.domains),
+        tuple(spans),
+        tuple(d.aggregator_rank for d in call.domains),
         tuple(sigs),
     )
 
@@ -324,7 +333,7 @@ def _prepare_model(fd: ADIOFile, call: CollectiveCallState, cb: int) -> None:
                 merged_norm,
             ) = hit
             base = call.min_st
-            call.merged_cov = (merged_norm[0] + base, merged_norm[1])
+            call.merged_cov = (merged_norm[0] + base, merged_norm[1] + base)
             call.prepared = True
             return
         if profiler is not None:
@@ -395,7 +404,7 @@ def _prepare_model(fd: ADIOFile, call: CollectiveCallState, cb: int) -> None:
             call.recv_pieces,
             call.shuffle_durations,
             call.alltoall_cost,
-            (merged[0] - base, merged[1]),
+            (merged[0] - base, merged[1] - base),
         )
     call.prepared = True
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.access import RankAccess
 
 AccessFn = Callable[[int], RankAccess]
@@ -51,3 +53,14 @@ class Workload:
 
     def total_bytes(self) -> int:
         return self.file_size
+
+
+def payload_bytes(seed: int, n: int) -> np.ndarray:
+    """``n`` deterministic pseudo-random payload bytes for ``seed``.
+
+    Byte-identical to ``default_rng(seed).integers(0, 256, n, dtype=uint8)``
+    — numpy draws full-range bytes from the raw 64-bit stream, low byte
+    first — at about a third of the cost.
+    """
+    raw = np.random.default_rng(seed).bit_generator.random_raw(-(-n // 8))
+    return raw.view(np.uint8)[:n]

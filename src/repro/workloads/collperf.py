@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.access import RankAccess
-from repro.workloads.base import IOStep, Workload
+from repro.workloads.base import IOStep, Workload, payload_bytes
 
 
 def _grid_dims(nprocs: int) -> tuple[int, int, int]:
@@ -84,8 +84,7 @@ def collperf_workload(
         lens = np.full(offs.shape, bz * elem_size, dtype=np.int64)
         data = None
         if with_data:
-            rng = np.random.default_rng(seed * 100003 + rank)
-            data = rng.integers(0, 256, size=block_bytes, dtype=np.uint8)
+            data = payload_bytes(seed * 100003 + rank, block_bytes)
         return RankAccess(offs, lens, data)
 
     return Workload(

@@ -18,10 +18,8 @@ Paper correspondence: §IV-C — Flash-IO checkpoint writes (Figs. 7/8).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.access import RankAccess
-from repro.workloads.base import IOStep, Workload
+from repro.workloads.base import IOStep, Workload, payload_bytes
 
 HEADER_BYTES = 16 * 1024  # HDF5 superblock + tree metadata per dataset
 
@@ -66,10 +64,9 @@ def flashio_workload(
                 offset = base_offset + rank * per_proc_per_var
                 data = None
                 if with_data:
-                    rng = np.random.default_rng(
-                        (seed * 31 + var_index) * 100003 + rank
+                    data = payload_bytes(
+                        (seed * 31 + var_index) * 100003 + rank, per_proc_per_var
                     )
-                    data = rng.integers(0, 256, size=per_proc_per_var, dtype=np.uint8)
                 return RankAccess.contiguous(offset, per_proc_per_var, data)
 
             return access_fn

@@ -12,10 +12,8 @@ transfers, segmented layout).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.access import RankAccess
-from repro.workloads.base import IOStep, Workload
+from repro.workloads.base import IOStep, Workload, payload_bytes
 
 
 # Dataless IOR patterns are immutable (RankAccess never mutates after
@@ -50,8 +48,7 @@ def ior_workload(
         def access_fn(rank: int) -> RankAccess:
             offset = segment * seg_bytes + rank * block_bytes
             if with_data:
-                rng = np.random.default_rng((seed * 7 + segment) * 100003 + rank)
-                data = rng.integers(0, 256, size=block_bytes, dtype=np.uint8)
+                data = payload_bytes((seed * 7 + segment) * 100003 + rank, block_bytes)
                 return RankAccess.contiguous(offset, block_bytes, data)
             # Dataless accesses are immutable; one per (segment, rank) —
             # reused across the files of a phased run.

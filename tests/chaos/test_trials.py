@@ -19,6 +19,7 @@ from repro.chaos.runner import CHAOS_CACHE_MODES, schedule_for, resolve_chaos_co
 from repro.experiments import sweep
 from repro.faults.recovery import CacheRecoveryRegistry
 from repro.faults.spec import FaultSchedule, FaultSpec
+from tests.conftest import drop_persisted_head
 
 SCALE = 0.25  # keeps a full two-plane trial well under a second
 
@@ -97,6 +98,15 @@ class TestTrialProperties:
         assert r.ok, (r.outcome, r.mismatched, r.violations)
         assert r.planes_match
         assert r.violations == []
+
+    def test_missing_persisted_range_fails_integrity(self, cascade_result, monkeypatch):
+        drop_persisted_head(monkeypatch)
+        r = run_chaos_trial(cascade_result.spec)
+        assert r.outcome == "crash_recovered"
+        # Checksums cannot see the hole (the model carries no payload).
+        assert r.checksums == cascade_result.checksums
+        assert not r.integrity_ok
+        assert not r.ok
 
     def test_result_roundtrips_through_dict(self, cascade_result):
         again = ChaosTrialResult.from_dict(

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos.invariants import InvariantMonitor
 from repro.config import small_testbed
 from repro.machine import Machine
 from repro.mpi.process import MPIWorld
 from repro.romio.file import MPIIOLayer
+from repro.units import KiB
 
 
 @pytest.fixture
@@ -43,3 +45,17 @@ def make_cluster(num_nodes=4, procs_per_node=2, driver="beegfs", exchange="flow"
     world = MPIWorld(machine)
     layer = MPIIOLayer(machine, world.comm, driver=driver, exchange_mode=exchange)
     return machine, world, layer
+
+
+def drop_persisted_head(monkeypatch):
+    """Make every faulted machine lose ``[0, 4 KiB)`` of each file's persisted
+    coverage after the run, leaving sizes (and so checksums) untouched."""
+    original = InvariantMonitor.check_quiescent
+
+    def check_then_drop(self):
+        original(self)
+        if self.machine.faults is not None:
+            for f in self.machine.pfs._files.values():
+                f.persisted.remove(0, 4 * KiB)
+
+    monkeypatch.setattr(InvariantMonitor, "check_quiescent", check_then_drop)

@@ -6,6 +6,7 @@ import pytest
 from repro.access import merge_extent_arrays
 from repro.units import KiB, MiB
 from repro.workloads import collperf_workload, flashio_workload, ior_workload
+from repro.workloads.base import payload_bytes
 
 
 def assert_tiles_exactly(workload, nprocs):
@@ -128,3 +129,15 @@ class TestFlashIO:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             flashio_workload(4, kind="restart")
+
+
+class TestPayloadBytes:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 65536, 65537])
+    @pytest.mark.parametrize("seed", [0, 3, 2016, (2016 * 7 + 1) * 100003 + 7])
+    def test_matches_bounded_integer_draw(self, seed, n):
+        # The payload every workload has always carried: regenerating it
+        # from the raw stream must not move a single byte.
+        expected = np.random.default_rng(seed).integers(0, 256, size=n, dtype=np.uint8)
+        got = payload_bytes(seed, n)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expected)
