@@ -165,7 +165,19 @@ class RankAccess:
 
     @classmethod
     def contiguous(cls, offset: int, nbytes: int, data: Optional[np.ndarray] = None) -> "RankAccess":
-        return cls(np.array([offset]), np.array([nbytes]), data)
+        offset, nbytes = int(offset), int(nbytes)
+        if data is not None or nbytes <= 0:
+            return cls(np.array([offset]), np.array([nbytes]), data)
+        # One dataless extent: nothing to filter, sort or overlap-check, so
+        # set exactly what the general constructor would compute.
+        acc = cls.__new__(cls)
+        acc.offsets = np.array([offset], dtype=np.int64)
+        acc.lengths = np.array([nbytes], dtype=np.int64)
+        acc.ends = np.array([offset + nbytes], dtype=np.int64)
+        acc.prefix = np.array([0, nbytes], dtype=np.int64)
+        acc.total_bytes = nbytes
+        acc.data = None
+        return acc
 
     @classmethod
     def empty_access(cls) -> "RankAccess":

@@ -21,7 +21,9 @@ scopes state per job:
 Everything else — the event kernel, RNG streams, fabric, PFS servers, the
 compute nodes and their SSDs/local filesystems — is the *shared* machine,
 because that is exactly where the real system does not isolate jobs and
-where interference comes from.
+where interference comes from.  The ext2ph model memo is shared too: it is
+host-side bookkeeping whose keys do not depend on placement, so one job's
+collective shape is priced once per machine, not once per job.
 
 Paper correspondence: none (fleet extension); the shared/isolated split
 mirrors the §IV testbed, where jobs share the BeeGFS servers and fabric but
@@ -79,7 +81,8 @@ class JobView:
         self.placement = placement
         self.job_label = label if label is not None else f"j{job_id}"
         self.config = replace(machine.config, num_nodes=len(placement))
-        # Shared substrate — one kernel, one fabric, one PFS, one node set.
+        # Shared substrate — one kernel, one fabric, one PFS, one node set,
+        # one model memo.
         self.sim = machine.sim
         self.rng = machine.rng
         self.fabric = machine.fabric
@@ -88,6 +91,7 @@ class JobView:
         self.local_fs = machine.local_fs  # ditto
         self.dataplane = machine.dataplane
         self.faults = machine.faults
+        self.ext2ph_model_memo = machine.ext2ph_model_memo
         # Job-scoped state.
         self.tracer = _JobTracer(machine.tracer, self.job_label)
         # Background daemons (sync threads) spawned on this job's behalf;

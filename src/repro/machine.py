@@ -13,6 +13,7 @@ object.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Optional
 
 from repro.config import ClusterConfig
@@ -66,6 +67,9 @@ class Machine:
         self.pfs = ParallelFileSystem(self.sim, config, self.fabric, self.rng)
         self._clients: dict[int, PFSClient] = {}
         self.recovery = CacheRecoveryRegistry(self)
+        # The ext2ph per-round model memo (LRU, see romio/ext2ph.py): its
+        # keys are placement-invariant, so every job on this machine shares it.
+        self.ext2ph_model_memo: OrderedDict = OrderedDict()
         # Machine-wide robustness counters, rolled up by the sync threads and
         # the ADIO degradation path (their owning objects are torn down with
         # each file, so per-thread counters would be lost by run end).

@@ -53,9 +53,13 @@ def op_bor(a, b):
     return a | b
 
 
-@dataclass
+@dataclass(frozen=True)
 class CollectiveCosts:
-    """Calibrated latency/bandwidth parameters for the model engine."""
+    """Calibrated latency/bandwidth parameters for the model engine.
+
+    Frozen, so it hashes and compares by every field: the ext2ph model
+    memo keys on the instance itself.
+    """
 
     alpha: float  # per-stage latency (seconds)
     beta_inv: float  # per-byte time on the NIC (1 / bandwidth)

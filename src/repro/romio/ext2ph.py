@@ -257,22 +257,33 @@ _MODEL_CACHE_MAX = 64
 _MODEL_CACHE_EXTENT_CAP = 64  # per-rank extents; larger patterns skip the memo
 
 
+def _canonical_nodes(rank_to_node) -> tuple[int, ...]:
+    """Relabel node ids by first occurrence: ``[5, 5, 2, 2]`` -> ``(0, 0, 1, 1)``."""
+    labels: dict[int, int] = {}
+    return tuple(labels.setdefault(n, len(labels)) for n in rank_to_node)
+
+
 def _model_cache_key(fd: ADIOFile, call: CollectiveCallState, cb: int):
-    """Translation-normalised content key for the per-round model arrays,
-    or ``None`` when the pattern is too large to fingerprint cheaply.
+    """Placement- and translation-normalised content key for the per-round
+    model arrays, or ``None`` when the pattern is too large to fingerprint
+    cheaply.
 
     Every input the cached arrays depend on is in the key: the (shifted)
-    per-rank extents and domains, the rank->node map, the aggregator list,
-    the collective cost parameters, and the physical node count.  All the
-    cached quantities are functions of byte counts inside shifted windows,
-    so they are invariant under a common offset translation — patterns
-    that differ only by a constant file offset (IOR segments, the per-file
-    phases of a run) share one entry, bit for bit.
+    per-rank extents and domains, the aggregator list, every
+    :class:`~repro.mpi.collectives.CollectiveCosts` field, the piece
+    overhead, and which ranks share a node.  The arrays depend on node
+    *equality* only (who crosses a NIC, which ranks sum into one node's
+    row, the max over nodes), never on a node's id, so the rank->node map
+    enters relabelled by first occurrence: the same job shape on any
+    placement of the machine shares one entry, bit for bit.
 
-    Empty domains enter as ``(0, 0)`` wherever the partitioner put them
-    (the stripe-aligned one uses absolute offset 0): an empty domain's
-    ``bounds`` row is constant, so its sends and pieces are zero in every
-    round whatever its offset.
+    All the cached quantities are functions of byte counts inside shifted
+    windows, so they are also invariant under a common offset translation —
+    patterns that differ only by a constant file offset (IOR segments, the
+    per-file phases of a run) share one entry.  Empty domains enter as
+    ``(0, 0)`` wherever the partitioner put them (the stripe-aligned one
+    uses absolute offset 0): an empty domain's ``bounds`` row is constant,
+    so its sends and pieces are zero in every round whatever its offset.
     """
     comm = fd.comm
     P = comm.size
@@ -290,21 +301,14 @@ def _model_cache_key(fd: ADIOFile, call: CollectiveCallState, cb: int):
     spans = [
         (d.start - base, d.end - base) if d.size > 0 else (0, 0) for d in call.domains
     ]
-    costs = comm.costs
     return (
         P,
-        len(fd.aggregators),
         call.ntimes,
         cb,
-        len(fd.machine.nodes),
-        costs.alpha,
-        costs.beta_inv,
-        costs.per_message,
-        costs.procs_per_node,
-        costs.shm_beta_inv,
+        comm.costs,  # frozen dataclass: hashed and compared by every field
         fd.machine.config.network.piece_overhead,
         tuple(fd.aggregators),
-        tuple(comm.rank_to_node),
+        _canonical_nodes(comm.rank_to_node),
         tuple(spans),
         tuple(d.aggregator_rank for d in call.domains),
         tuple(sigs),
@@ -314,14 +318,13 @@ def _model_cache_key(fd: ADIOFile, call: CollectiveCallState, cb: int):
 def _prepare_model(fd: ADIOFile, call: CollectiveCallState, cb: int) -> None:
     machine = fd.machine
     key = _model_cache_key(fd, call, cb)
-    cache = None
+    # One LRU memo per physical machine (a fleet JobView aliases it).
+    memo = machine.ext2ph_model_memo
     if key is not None:
-        cache = getattr(machine, "_ext2ph_model_cache", None)
-        if cache is None:
-            cache = machine._ext2ph_model_cache = {}
         profiler = machine.sim.profiler
-        hit = cache.get(key)
+        hit = memo.get(key)
         if hit is not None:
+            memo.move_to_end(key)
             if profiler is not None:
                 profiler.count("ext2ph.model_cache_hit")
             (
@@ -362,14 +365,15 @@ def _prepare_model(fd: ADIOFile, call: CollectiveCallState, cb: int) -> None:
     call.recv_bytes = sends.sum(axis=0)  # (naggs, ntimes)
     call.recv_pieces = pieces.sum(axis=0)  # (naggs, ntimes)
 
-    node_of = np.array([comm.node_of(r) for r in range(P)], dtype=np.int64)
-    agg_node = np.array([comm.node_of(a) for a in fd.aggregators], dtype=np.int64)
+    # Canonical node ids (see _model_cache_key): the per-node rows hold the
+    # same sums in the same order as physical ids would, minus the all-zero
+    # rows of nodes the job does not use, which never win the max.
+    node_of = np.array(_canonical_nodes(comm.rank_to_node), dtype=np.int64)
+    agg_node = node_of[fd.aggregators]
     cross = (node_of[:, None] != agg_node[None, :]).astype(np.int64)
     crossed = sends * cross[:, :, None]  # bytes that traverse NICs
     local = sends - crossed  # intra-node bytes (shared-memory transport)
-    # Physical node count: a fleet JobView's config is job-sized, but the
-    # node arrays below are indexed by physical node ids.
-    num_nodes = len(fd.machine.nodes)
+    num_nodes = int(node_of.max()) + 1 if P else 0
     out_node = np.zeros((num_nodes, ntimes))
     np.add.at(out_node, node_of, crossed.sum(axis=1))
     in_node = np.zeros((num_nodes, ntimes))
@@ -393,12 +397,16 @@ def _prepare_model(fd: ADIOFile, call: CollectiveCallState, cb: int) -> None:
     )
     call.alltoall_cost = costs.alltoall(P, 16)
     call.coverage()  # precompute merged extents for aggregator writes
-    if cache is not None:
-        if len(cache) >= _MODEL_CACHE_MAX:
-            cache.clear()
+    if key is not None:
+        if len(memo) >= _MODEL_CACHE_MAX:
+            memo.popitem(last=False)  # least recently used
+        # Every later hit, in any job, gets these very arrays.
+        arrays = (call.sends, call.recv_bytes, call.recv_pieces, call.shuffle_durations)
+        for arr in arrays:
+            arr.flags.writeable = False
         merged = call.merged_cov
         base = call.min_st
-        cache[key] = (
+        memo[key] = (
             call.sends,
             call.recv_bytes,
             call.recv_pieces,

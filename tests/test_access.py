@@ -155,3 +155,45 @@ def test_coverage_in_window_clips():
     assert coverage_in_window(starts, ends, 5, 45) == [(5, 10), (20, 30), (40, 45)]
     assert coverage_in_window(starts, ends, 10, 20) == []
     assert coverage_in_window(starts, ends, 100, 200) == []
+
+
+def _assert_same_access(fast, ref):
+    for name in ("offsets", "lengths", "ends", "prefix"):
+        a, b = getattr(fast, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert fast.total_bytes == ref.total_bytes
+    assert type(fast.total_bytes) is type(ref.total_bytes)
+    assert fast.data is ref.data is None
+    assert len(fast) == len(ref)
+    assert fast.empty == ref.empty
+    assert fast.start_offset == ref.start_offset
+    assert fast.end_offset == ref.end_offset
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 1 << 40),
+    st.integers(0, 1 << 30),
+    st.lists(st.integers(-(1 << 31), 1 << 31), min_size=2, max_size=6),
+)
+def test_contiguous_matches_general_constructor(offset, nbytes, deltas):
+    """The one-extent fast path builds exactly what the constructor does."""
+    fast = RankAccess.contiguous(offset, nbytes)
+    ref = RankAccess(np.array([offset]), np.array([nbytes]))
+    _assert_same_access(fast, ref)
+    # Probe positions around the extent (before, inside, past its end).
+    pos = np.array([max(0, offset + d) for d in deltas], dtype=np.int64)
+    assert np.array_equal(fast.cum_bytes(pos), ref.cum_bytes(pos))
+    assert np.array_equal(fast.cum_counts(pos), ref.cum_counts(pos))
+    lo, hi = sorted(int(p) for p in pos[:2])
+    got, want = fast.slice_window(lo, hi), ref.slice_window(lo, hi)
+    assert (got.nbytes, got.count) == (want.nbytes, want.count)
+    for name in ("offsets", "lengths", "buffer_starts"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@given(st.integers(0, 1 << 40), st.integers(-(1 << 30), -1))
+def test_contiguous_rejects_negative_length(offset, nbytes):
+    with pytest.raises(ValueError):
+        RankAccess.contiguous(offset, nbytes)

@@ -25,6 +25,15 @@ against the default bulk data plane to see the per-chunk event traffic the
 bulk-transfer fast path removes (docs/PERFORMANCE.md walks through both).
 The profiler never changes simulation results — only observes.
 
+``--fleet N`` profiles an N-job :mod:`repro.fleet` run instead (the
+default mixed :class:`~repro.fleet.FleetSpec` at ``--scale``).  The
+profiler is attached to the shared fleet machine through ``run_fleet``'s
+``on_machine`` hook, so its counters cover every job but not the solo
+reference runs (each on its own machine); ``--top`` also prints the ext2ph
+model memo's hits, misses and entries::
+
+    PYTHONPATH=src python tools/profile_sweep.py --fleet 128 --top 12
+
 ``--chaos-seed N`` profiles a :mod:`repro.chaos` trial instead: the traced
 timeline then carries the injected fault and recovery/replay instant
 events (color-coded in the Chrome trace — faults red, recovery green)::
@@ -107,6 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile a chaos trial for this seed instead of a sweep point "
         "(fault/recovery events land in the --trace timeline)",
     )
+    p.add_argument(
+        "--fleet",
+        type=int,
+        default=None,
+        metavar="N",
+        help="profile an N-job fleet (shared machine only) instead of a sweep point",
+    )
     return p
 
 
@@ -138,6 +154,26 @@ def print_top(snapshot: dict, n: int) -> None:
         print("  (no counters bumped in this run)")
     for key, value in crows:
         print(f"  {key:<32} {value:>14,d}")
+
+
+def report(args, summary: dict, profiler, tracer, prof, top_footer: str = "") -> None:
+    """Print the summary and the ``--top`` table, then write what ``--json``,
+    ``--trace`` and ``--cprofile`` ask for."""
+    print(json.dumps(summary, indent=2, sort_keys=True))
+    if args.top:
+        print_top(summary["profiler"], args.top)
+        if top_footer:
+            print(top_footer)
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+        print(f"wrote {args.json}", file=sys.stderr)
+    if args.trace:
+        tracer.write_chrome_trace(args.trace, profiler=profiler)
+        print(f"wrote {args.trace}", file=sys.stderr)
+    if prof is not None:
+        stats = pstats.Stats(prof, stream=sys.stderr).sort_stats("tottime")
+        stats.print_stats(args.cprofile)
 
 
 def run_chaos_point(args: argparse.Namespace) -> int:
@@ -191,24 +227,81 @@ def run_chaos_point(args: argparse.Namespace) -> int:
         "trace_recovery_events": recovery_events,
         "profiler": profiler.snapshot(),
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if args.top:
-        print_top(summary["profiler"], args.top)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json}", file=sys.stderr)
-    if args.trace:
-        tracer.write_chrome_trace(args.trace, profiler=profiler)
-        print(f"wrote {args.trace}", file=sys.stderr)
-    if prof is not None:
-        stats = pstats.Stats(prof, stream=sys.stderr).sort_stats("tottime")
-        stats.print_stats(args.cprofile)
+    report(args, summary, profiler, tracer, prof)
     return 0 if result.ok else 1
+
+
+def run_fleet_point(args: argparse.Namespace) -> int:
+    """Profile one fleet run through the shared machine's ``on_machine`` hook."""
+    from repro.fleet import FleetSpec, run_fleet
+
+    if args.fleet < 1:
+        raise SystemExit(f"--fleet needs at least one job, not {args.fleet}")
+    profiler = SimProfiler()
+    spec = FleetSpec(fleet_size=args.fleet, scale=args.scale)
+    machines = []
+
+    def attach(machine):
+        machine.sim.profiler = profiler
+        machines.append(machine)
+
+    os.environ["REPRO_FABRIC"] = args.fabric
+    try:
+        prof = cProfile.Profile() if args.cprofile else None
+        t0 = time.perf_counter()
+        if prof is not None:
+            prof.enable()
+        result = run_fleet(
+            spec,
+            dataplane=args.dataplane,
+            trace=bool(args.trace),
+            on_machine=attach,
+        )
+        if prof is not None:
+            prof.disable()
+        wall = time.perf_counter() - t0
+    finally:
+        os.environ.pop("REPRO_FABRIC", None)
+
+    (machine,) = machines
+    snapshot = profiler.snapshot()
+    counters = snapshot.get("counters", {})
+    hits = counters.get("ext2ph.model_cache_hit", 0)
+    misses = counters.get("ext2ph.model_cache_miss", 0)
+    memo = {
+        "hits": hits,
+        "misses": misses,
+        "hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
+        "entries": len(machine.ext2ph_model_memo),
+    }
+    summary = {
+        "spec": {
+            "fleet_size": spec.fleet_size,
+            "scale": spec.scale,
+            "seed": spec.seed,
+            "fabric": args.fabric,
+            "dataplane": result.dataplane,
+        },
+        "wall_s": wall,
+        "jobs_per_sec": spec.fleet_size / wall if wall else 0.0,
+        "events_fired": result.events,
+        "events_per_sec": result.events / wall if wall else 0.0,
+        "makespan_s": result.makespan,
+        "model_memo": memo,
+        "profiler": snapshot,
+    }
+    footer = (
+        f"ext2ph model memo: {memo['hits']:,d} hits, {memo['misses']:,d} misses "
+        f"(hit ratio {memo['hit_ratio']:.3f}), {memo['entries']} entries"
+    )
+    report(args, summary, profiler, machine.tracer, prof, footer)
+    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.fleet is not None:
+        return run_fleet_point(args)
     if args.chaos_seed is not None:
         return run_chaos_point(args)
     if args.cache_mode not in CACHE_MODES:
@@ -258,25 +351,12 @@ def main(argv=None) -> int:
         "bw_gib_s": result.bw / (1 << 30),
         "profiler": profiler.snapshot(),
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if args.top:
-        print_top(summary["profiler"], args.top)
+    # The run's Tracer was off (benchmarks pay nothing for tracing), so the
+    # --trace export carries the profiler counters; pass --trace together
+    # with a traced Machine run to overlay a full timeline.
+    from repro.sim.trace import Tracer
 
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json}", file=sys.stderr)
-    if args.trace:
-        # The run's Tracer was off (benchmarks pay nothing for tracing), so
-        # the export carries the profiler counters; pass --trace together
-        # with a traced Machine run to overlay a full timeline.
-        from repro.sim.trace import Tracer
-
-        Tracer(enabled=False).write_chrome_trace(args.trace, profiler=profiler)
-        print(f"wrote {args.trace}", file=sys.stderr)
-    if prof is not None:
-        stats = pstats.Stats(prof, stream=sys.stderr).sort_stats("tottime")
-        stats.print_stats(args.cprofile)
+    report(args, summary, profiler, Tracer(enabled=False), prof)
     return 0
 
 
